@@ -2,23 +2,24 @@
 
 The simulator's inner loop is trace *replay*: every sweep point
 re-schedules a recorded segment DAG under a different CPU/topology
-configuration.  PR 6 swapped the list scheduler for a discrete-event
-core (compiled CSR adjacency, packed-int event heap) behind the
-``engine=`` seam, keeping the original list scheduler as the oracle,
-and added forked host workers (``Machine(shard_workers=N)``) that run
-sibling subtrees in parallel between snap/merge barriers.
+configuration.  The scheduler is a discrete-event core (compiled CSR
+adjacency, packed-int event heap); the original list scheduler is kept
+as its oracle in ``tests/timing/sched_oracle.py``.  Forked host workers
+(``Machine(shard_workers=N)``) run sibling subtrees in parallel between
+snap/merge barriers.
 
 This ablation replays the matmult-tree trace (8 fat-tree nodes, the
-shape the 64-1024-node sweeps scale up) through both engines and
-reports
+shape the 64-1024-node sweeps scale up) through the event core and the
+oracle and reports
 
 * ``replay_speedup_x`` — oracle replay time / event-core replay time
   (min over repetitions; both sides measured in this same process, so
   the ratio is robust to machine speed).  check_regression.py gates it
   *downward*: losing more than 25% of the committed speedup fails CI.
-* bit-identity — every ScheduleResult field must match between engines,
-  and the sharded guest run must reproduce the serial makespan with
-  every forked worker adopted (no fallbacks).
+* bit-identity — every ScheduleResult field, link grants included,
+  must match between the event core and the oracle, and the sharded
+  guest run must reproduce the serial makespan with every forked
+  worker adopted (no fallbacks).
 
 Results land in ``benchmarks/out/BENCH_simcore.json``; the committed
 ``benchmarks/BENCH_simcore.json`` is the baseline.
@@ -27,6 +28,7 @@ Results land in ``benchmarks/out/BENCH_simcore.json``; the committed
 import time
 
 from conftest import dump_json
+from sched_oracle import schedule_list
 
 from repro.bench import cluster_workloads as cw
 from repro.timing.schedule import schedule
@@ -40,14 +42,15 @@ REPS = 200
 def _result_fields(result):
     return (result.makespan, result.busy, dict(result.start),
             dict(result.finish), result.cpu_count, dict(result.link_busy),
-            dict(result.class_busy), dict(result.stall_cycles))
+            dict(result.class_busy), dict(result.stall_cycles),
+            list(result.grants))
 
 
-def _time_replay(trace, cpus, engine):
+def _time_replay(trace, cpus, scheduler):
     best = float("inf")
     for _ in range(REPS):
         start = time.perf_counter()
-        schedule(trace, cpus_per_node=cpus, engine=engine)
+        scheduler(trace, cpus_per_node=cpus)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -58,13 +61,13 @@ def test_ablation_simcore(once):
                                        topology=TOPOLOGY)
         trace = machine.trace
         cpus = {node: 1 for node in range(NODES)}
-        event = schedule(trace, cpus_per_node=cpus, engine="event")
-        oracle = schedule(trace, cpus_per_node=cpus, engine="list")
+        event = schedule(trace, cpus_per_node=cpus)
+        oracle, _ = schedule_list(trace, cpus_per_node=cpus)
         identical = _result_fields(event) == _result_fields(oracle)
         # The first event run compiled and cached the plan; the timed
         # replays below measure the steady-state sweep loop.
-        event_s = _time_replay(trace, cpus, "event")
-        list_s = _time_replay(trace, cpus, "list")
+        event_s = _time_replay(trace, cpus, schedule)
+        list_s = _time_replay(trace, cpus, schedule_list)
 
         serial_mk, _, serial_v = cw.run_cluster(
             cw.md5_circuit_main(3), NODES, topology=TOPOLOGY)
@@ -102,8 +105,8 @@ def test_ablation_simcore(once):
           f"adopted, {shard['fallbacks']} fallbacks, "
           f"makespan {shard['makespan']:,}")
 
-    # Bit-identity is the contract that lets either engine regenerate
-    # any baseline, and lets sharded sweeps gate against serial ones.
+    # Bit-identity with the oracle pins the scheduling policy, and lets
+    # sharded sweeps gate against serial ones.
     assert replay["identical"]
     assert shard["identical"]
     assert shard["forked"] == NODES

@@ -4,8 +4,9 @@ The event-driven scheduler core exists so that high-node-count sweeps
 are affordable; this nightly-only bench proves the claim where it
 matters.  A wide md5-circuit (one sibling per node — the maximally
 shardable shape) runs serially at 64, 256 and 1024 fat-tree nodes; each
-recorded trace then replays through both scheduler engines, which must
-agree bit for bit at every size.  At 64 nodes the whole guest run also
+recorded trace then replays through the event core and the list
+scheduler oracle (``tests/timing/sched_oracle.py``), which must agree
+bit for bit at every size.  At 64 nodes the whole guest run also
 repeats under ``shard_workers`` and must reproduce the serial machine's
 makespan and value with every forked sibling adopted.
 
@@ -24,6 +25,7 @@ import time
 
 import pytest
 from conftest import dump_json
+from sched_oracle import schedule_list
 
 from repro.bench import cluster_workloads as cw
 from repro.timing.schedule import schedule
@@ -34,11 +36,11 @@ SHARD_NODES = 64
 SHARD_WORKERS = 8
 
 
-def _replay_seconds(trace, cpus, engine, reps=5):
+def _replay_seconds(trace, cpus, scheduler, reps=5):
     best = float("inf")
     for _ in range(reps):
         start = time.perf_counter()
-        schedule(trace, cpus_per_node=cpus, engine=engine)
+        scheduler(trace, cpus_per_node=cpus)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -52,23 +54,24 @@ def test_scale_sweep_event_core(once):
                 cw.md5_circuit_main(3), nodes, topology=TOPOLOGY)
             trace = machine.trace
             cpus = {node: 1 for node in range(nodes)}
-            event = schedule(trace, cpus_per_node=cpus, engine="event")
-            oracle = schedule(trace, cpus_per_node=cpus, engine="list")
+            event = schedule(trace, cpus_per_node=cpus)
+            oracle, _ = schedule_list(trace, cpus_per_node=cpus)
             results[str(nodes)] = {
                 "makespan": makespan,
                 "value": value,
                 "segments": len(trace.segments),
-                "engines_identical": (
+                "oracle_identical": (
                     event.makespan == oracle.makespan
                     and event.busy == oracle.busy
                     and dict(event.finish) == dict(oracle.finish)
                     and dict(event.link_busy) == dict(oracle.link_busy)
                     and dict(event.stall_cycles) == dict(oracle.stall_cycles)
+                    and event.grants == oracle.grants
                 ),
                 "event_replay_us": round(
-                    _replay_seconds(trace, cpus, "event") * 1e6, 1),
+                    _replay_seconds(trace, cpus, schedule) * 1e6, 1),
                 "list_replay_us": round(
-                    _replay_seconds(trace, cpus, "list") * 1e6, 1),
+                    _replay_seconds(trace, cpus, schedule_list) * 1e6, 1),
             }
         serial_mk, _, serial_v = cw.run_cluster(
             cw.md5_circuit_main(3), SHARD_NODES, topology=TOPOLOGY)
@@ -99,7 +102,7 @@ def test_scale_sweep_event_core(once):
           f"adopted, {shard['fallbacks']} fallbacks")
 
     for nodes in NODE_COUNTS:
-        assert results[str(nodes)]["engines_identical"]
+        assert results[str(nodes)]["oracle_identical"]
     values = {results[str(nodes)]["value"] for nodes in NODE_COUNTS}
     assert len(values) == 1  # distribution is semantically transparent
     assert shard["identical"]

@@ -11,9 +11,16 @@ reproduces every row/series the paper reports.
 
 import json
 import os
+import sys
 import time
 
 import pytest
+
+# The reference list scheduler lives with the tests
+# (tests/timing/sched_oracle.py); the event-core benches time and check
+# the scheduler against it.
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(_REPO, "tests", "timing"))
 
 #: Where ablation/benchmark JSON outputs land; CI uploads these as
 #: workflow artifacts and gates them against the committed

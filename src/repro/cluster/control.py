@@ -26,7 +26,7 @@ feedback loop *deterministically*:
   the trace (:attr:`~repro.timing.trace.Trace.decisions`) anchored at
   the deciding segment, and its cycle cost (``cost.ctrl_decide``) is
   charged to the rendezvousing space — so replaying the trace replays
-  the decisions' consequences exactly, on either schedule engine.
+  the decisions' consequences exactly.
 
 Three policies ship:
 

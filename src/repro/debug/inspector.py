@@ -13,8 +13,7 @@ the first mismatch rather than showing state from a diverged world).
 
 ``goto N``'s semantics: the machine state once every segment the
 schedule *finished by cycle N* has closed.  The anchor set is computed
-from the original trace's schedule (both engines are bit-identical, so
-the set is engine-independent), and the capture fires inside the
+from the original trace's schedule, and the capture fires inside the
 replay's :attr:`~repro.timing.trace.Trace.on_close` observer the moment
 the last anchor segment closes — a deep byte-copy capture
 (:func:`~repro.debug.model.freeze_machine`) that takes no COW
@@ -32,7 +31,6 @@ from repro.common.errors import DebugApiError, ReplayDivergence
 from repro.debug.model import (SpaceImage, SpaceDiff, compare_traces,
                                freeze_machine)
 from repro.runtime import checkpoint as ckpt_mod
-from repro.timing.schedule import schedule
 from repro.timing.timeline import Timeline
 
 #: Trace segment labels written by a faulting stop
@@ -136,7 +134,6 @@ class Inspector:
         self.recipe = recipe
         self.trace = machine.trace
         self._image = None
-        self._sched = None
         self._timeline = None
 
     @classmethod
@@ -165,15 +162,9 @@ class Inspector:
         return self._image
 
     @property
-    def sched(self):
-        """The run's schedule (same CPU configuration as the machine)."""
-        if self._sched is None:
-            self._sched = schedule(self.trace, ncpus=self.ncpus)
-        return self._sched
-
-    @property
     def timeline(self):
-        """Cycle-addressable replay of the schedule (lazy)."""
+        """The run's schedule (same CPU configuration as the machine),
+        cycle-addressable (lazy)."""
         if self._timeline is None:
             self._timeline = Timeline(self.trace, ncpus=self.ncpus)
         return self._timeline

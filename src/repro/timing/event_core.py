@@ -1,28 +1,30 @@
-"""Discrete-event scheduling core (the ``engine="event"`` seam).
+"""Discrete-event scheduling core: the one implementation of the
+greedy scheduling policy described in :mod:`repro.timing.schedule`.
 
-A drop-in replacement for the list scheduler in
-:mod:`repro.timing.schedule` that produces **bit-identical** results —
-same ``makespan``, ``busy``, ``start``/``finish`` times, ``link_busy``,
-``class_busy``, and ``stall_cycles`` on every trace — while doing
-O(log n) work per event over a precompiled plan instead of per-call
-graph rebuilds and per-event dict/tuple churn:
+It does O(log n) work per event over a precompiled plan instead of
+per-call graph rebuilds and per-event dict/tuple churn:
 
 * the trace is *compiled* once into per-segment successor tuples
-  (plain edges and link transfers kept separate, in the legacy
-  scheduler's exact per-source order) with links, link classes,
-  transfer kinds, and nodes interned to small integers;
+  (plain edges and link transfers kept separate, each in trace order
+  per source) with links, link classes, transfer kinds, and nodes
+  interned to small integers;
 * the single event heap holds packed integers ``(time, order, seg)``
-  instead of 4-tuples, so a heap sift compares small ints, not tuples —
-  the tie-breaking contract (finish events carry an incrementing
-  dispatch order, arrivals order among themselves by destination id and
-  after every same-time finish) is the legacy scheduler's, bit for bit;
+  instead of tuples, so a heap sift compares small ints — finish events
+  carry an incrementing dispatch order, and arrivals order among
+  themselves by destination id and after every same-time finish;
 * dispatch takes a fast path that never touches the per-node ready
   heap while it is empty (the common case on sparse cluster traces);
 * per-link/per-class/per-kind statistics live in small dense arrays
   indexed by interned id and are allocated only for links/classes the
   trace actually uses — nothing is sized by node count or by the
   cartesian (link x class) space, so 1024-node fat-tree sweeps do not
-  blow memory on bookkeeping.
+  blow memory on bookkeeping;
+* every link grant is recorded as ``(transfer index, start cycle)``,
+  which is all :class:`~repro.timing.timeline.Timeline` needs to place
+  each transfer on the schedule.
+
+The reference list scheduler this core must match bit for bit lives in
+``tests/timing/sched_oracle.py``.
 
 The compiled plan is cached on the trace object keyed by the
 ``(segments, edges, transfers)`` lengths — traces are append-only, so
@@ -53,10 +55,10 @@ class _CompiledTrace:
 
 def _build_seg_arrays(plan, segments):
     """Per-segment cycles/node arrays with nodes interned in first-use
-    order (the iteration order both engines visit segments in), plus the
-    cycles pre-shifted into packed-event position and the total busy
-    cycles (every segment runs exactly once, so the scheduled busy sum
-    is a static property of the trace)."""
+    order (segment id order), plus the cycles pre-shifted into
+    packed-event position and the total busy cycles (every segment runs
+    exactly once, so the scheduled busy sum is a static property of the
+    trace)."""
     nseg = len(segments)
     time_shift = plan.order_bits + plan.seg_bits
     seg_cycles = [0] * nseg
@@ -104,8 +106,8 @@ def _compile(trace):
     plan.key = key
     npreds = [0] * nseg
 
-    # Plain edges, grouped per source in list order (= the first part of
-    # the legacy scheduler's succs order).
+    # Plain edges, grouped per source in trace order; a finishing
+    # segment releases these before its link transfers.
     plain = [()] * nseg
     acc = {}
     for src, dst, lat in edges:
@@ -118,16 +120,16 @@ def _compile(trace):
     for src, lst in acc.items():
         plain[src] = tuple(lst)
 
-    # Link transfers, grouped per source in list order (= the second
-    # part of the legacy succs order), with link / class /
-    # effective-kind identities interned to small ints and the
-    # serialization + transit sum precomputed per transfer.
+    # Link transfers, grouped per source in trace order, with link /
+    # class / effective-kind identities interned to small ints, the
+    # serialization + transit sum precomputed, and the index into
+    # ``trace.transfers`` kept for the grant record.
     xfer = [()] * nseg
     acc = {}
     link_ids = {}
     cls_ids = {}
     kind_ids = {}
-    for src, dst, link, busy, lat, cls, kind in transfers:
+    for ti, (src, dst, link, busy, lat, cls, kind) in enumerate(transfers):
         npreds[dst] += 1
         li = link_ids.get(link)
         if li is None:
@@ -135,13 +137,12 @@ def _compile(trace):
         ci = cls_ids.get(cls)
         if ci is None:
             ci = cls_ids[cls] = len(cls_ids)
-        # The stall attribution label the legacy scheduler derives per
-        # transfer: ``kind or cls or "link"``.
+        # The label a stall behind this transfer is attributed to.
         eff = kind or cls or "link"
         ki = kind_ids.get(eff)
         if ki is None:
             ki = kind_ids[eff] = len(kind_ids)
-        rec = (dst, li, busy, busy + lat, ci, ki)
+        rec = (dst, li, busy, busy + lat, ci, ki, ti)
         lst = acc.get(src)
         if lst is None:
             acc[src] = [rec]
@@ -160,8 +161,8 @@ def _compile(trace):
     # Packed-event geometry.  Finish events use dispatch orders
     # 1..nseg; arrivals order after every same-time finish and among
     # themselves by destination id, so ``arrive_base + dst`` with
-    # ``arrive_base > nseg`` reproduces the legacy ``10**9 + dst`` key
-    # ordering exactly while keeping the packed ints narrow.
+    # ``arrive_base > nseg`` gives that ordering while keeping the
+    # packed ints narrow.
     plan.arrive_base = nseg + 1
     plan.order_bits = max(1, (2 * nseg + 1).bit_length())
     plan.seg_bits = max(1, (nseg - 1).bit_length() if nseg > 1 else 1)
@@ -182,10 +183,11 @@ def _compile(trace):
 
 
 def run_event_schedule(trace, ncpus=1, cpus_per_node=None):
-    """Event-core scheduling of ``trace``; returns the raw result pieces
-    ``(makespan, busy, start_times, finish_times, cpu_count, link_busy,
-    class_busy, stall_cycles)`` with start/finish as dense per-segment
-    lists (the caller wraps them lazily)."""
+    """Schedule ``trace``; returns the raw result pieces ``(makespan,
+    busy, start_times, finish_times, cpu_count, link_busy, class_busy,
+    stall_cycles, grants)`` with start/finish as dense per-segment lists
+    (the caller wraps them lazily) and ``grants`` the ``(transfer index,
+    start cycle)`` of every link grant, in grant order."""
     nseg = len(trace.segments)
     (plan, seg_cycles, cyc_shift, seg_node,
      node_keys, busy_total) = _compile(trace)
@@ -203,6 +205,8 @@ def run_event_schedule(trace, ncpus=1, cpus_per_node=None):
     link_busy = [0] * nlinks
     cls_busy = [0] * len(plan.classes)
     kind_stall = [0] * len(plan.kinds)
+    grants = []
+    grant = grants.append
 
     ready = [[] for _ in node_keys]
     ready_at = [0] * nseg
@@ -226,9 +230,9 @@ def run_event_schedule(trace, ncpus=1, cpus_per_node=None):
     # check at the bottom).
     order_packed = 0
 
-    # Roots: make_ready(0, seg) per root in id order, each immediately
-    # draining its node's ready queue — exactly the legacy sequence,
-    # which fixes the dispatch-order counter.
+    # Roots become ready at time 0 in id order, each immediately
+    # draining its node's ready queue; this fixes the dispatch-order
+    # counter.
     for sid in range(nseg):
         if npreds[sid]:
             continue
@@ -312,9 +316,10 @@ def run_event_schedule(trace, ncpus=1, cpus_per_node=None):
                             push(events,
                                  nowsh + cyc_shift[run] + order_packed + run)
 
-        for dst, li, xb, xblat, ci, ki in xfer[sid]:
+        for dst, li, xb, xblat, ci, ki, ti in xfer[sid]:
             lf = link_free[li]
             xfer_start = now if now >= lf else lf
+            grant((ti, xfer_start))
             link_free[li] = xfer_start + xb
             link_busy[li] += xb
             cls_busy[ci] += xb
@@ -376,4 +381,4 @@ def run_event_schedule(trace, ncpus=1, cpus_per_node=None):
     stall_out = {plan.kinds[i]: kind_stall[i]
                  for i in range(len(kind_stall)) if kind_stall[i] > 0}
     return (now, busy_total, start_t, finish_t, total_cpus,
-            link_busy_out, cls_busy_out, stall_out)
+            link_busy_out, cls_busy_out, stall_out, grants)

@@ -7,7 +7,7 @@ eyeballing schedules (handy when checking that a dsched round or a make
 schedule has the expected shape).
 """
 
-from repro.timing.schedule import schedule
+from repro.timing.schedule import critical_path, schedule
 
 
 def work_breakdown(trace, top=None):
@@ -85,5 +85,5 @@ def gantt(trace, ncpus, width=72, max_rows=24, cpus_per_node=None):
 def critical_path_ratio(trace):
     """total work / critical path — the trace's inherent parallelism."""
     total = trace.total_cycles()
-    cp = schedule(trace, ncpus=10**9).makespan
+    cp = critical_path(trace)
     return total / cp if cp else 0.0

@@ -18,9 +18,8 @@ arithmetic with its physics floor and static ceiling, and the placement
 policy's persistence and dominance guards.
 """
 
-import hashlib
-
 import pytest
+from memimage import memory_image
 
 from repro.bench import cluster_workloads as cw
 from repro.cluster import Controller, NetworkStats, resolve_control
@@ -36,15 +35,6 @@ SKEWED = dict(n=128, rounds=8, width=8, work=10_000)
 
 def _skewed():
     return cw.matmult_skewed_main(**SKEWED)
-
-
-def _image(space):
-    digest = hashlib.sha256()
-    aspace = space.addrspace
-    for vpn in aspace.mapped_vpns():
-        digest.update(vpn.to_bytes(8, "little"))
-        digest.update(aspace.frame(vpn).data)
-    return digest.hexdigest()
 
 
 def _run(control=None, loss=None, depth=None, workload=None):
@@ -66,7 +56,7 @@ def test_same_seed_reruns_bit_identical():
         makespan, machine, value = _run(control="adaptive",
                                         loss={"drop": 0.02, "seed": 7},
                                         workload=_skewed())
-        runs.append((value, _image(machine.root), makespan,
+        runs.append((value, memory_image(machine.root), makespan,
                      tuple(machine.control.log),
                      tuple(machine.trace.decisions)))
         assert machine.control.log, "controller made no decisions"
@@ -80,7 +70,7 @@ def test_control_none_is_inert():
     off = _run(control=None, depth=16)
     assert base[0] == off[0]
     assert base[2] == off[2]
-    assert _image(base[1].root) == _image(off[1].root)
+    assert memory_image(base[1].root) == memory_image(off[1].root)
     assert off[1].control is None
     assert off[1].trace.decisions == []
 

@@ -11,9 +11,8 @@ Conservation extends to ``delivered + dropped == sent`` per physical
 link.
 """
 
-import hashlib
-
 import pytest
+from memimage import memory_image
 
 from repro.bench import cluster_workloads as cw
 from repro.cluster import LossSchedule, MsgType, NetworkStats, resolve_loss
@@ -24,16 +23,6 @@ from repro.timing.schedule import schedule
 
 NODES = 4
 TOPOLOGY = "two_tier:2"
-
-
-def _memory_image(machine):
-    """Digest of the root's full memory image (vpn-ordered frame bytes)."""
-    digest = hashlib.sha256()
-    aspace = machine.root.addrspace
-    for vpn in aspace.mapped_vpns():
-        digest.update(vpn.to_bytes(8, "little"))
-        digest.update(aspace.frame(vpn).data)
-    return digest.hexdigest()
 
 
 def _run(loss=None, **config):
@@ -95,7 +84,7 @@ def test_same_seed_replays_bit_identically():
     runs = [_run(loss={"drop": 0.05, "seed": 7}) for _ in range(2)]
     (mk_a, m_a, v_a), (mk_b, m_b, v_b) = runs
     assert (mk_a, v_a) == (mk_b, v_b)
-    assert _memory_image(m_a) == _memory_image(m_b)
+    assert memory_image(m_a.root) == memory_image(m_b.root)
     stats_a, stats_b = NetworkStats(m_a), NetworkStats(m_b)
     assert stats_a.retx_table() == stats_b.retx_table()
     assert stats_a.summary() == stats_b.summary()
@@ -109,7 +98,7 @@ def test_different_seeds_move_only_the_wire():
     mk_b, m_b, v_b = _run(loss={"drop": 0.05, "seed": 2})
     mk_0, m_0, v_0 = _run()
     assert v_a == v_b == v_0
-    images = {_memory_image(m) for m in (m_a, m_b, m_0)}
+    images = {memory_image(m.root) for m in (m_a, m_b, m_0)}
     assert len(images) == 1
     table_a, table_b = (NetworkStats(m).retx_table() for m in (m_a, m_b))
     assert table_a != table_b
@@ -122,7 +111,7 @@ def test_zero_loss_schedule_is_bit_identical_to_no_schedule():
     mk_none, m_none, v_none = _run(loss=None)
     mk_zero, m_zero, v_zero = _run(loss=LossSchedule())
     assert (mk_none, v_none) == (mk_zero, v_zero)
-    assert _memory_image(m_none) == _memory_image(m_zero)
+    assert memory_image(m_none.root) == memory_image(m_zero.root)
     stats_none, stats_zero = NetworkStats(m_none), NetworkStats(m_zero)
     assert stats_none.wire_bytes == stats_zero.wire_bytes
     assert stats_none.link_table() == stats_zero.link_table()
@@ -149,7 +138,7 @@ def test_loss_is_cost_only_on_every_path(config):
         loss={"drop": 0.03, "dup": 0.01, "reorder": 0.01, "seed": 5},
         **config)
     assert v_lossy == v_clean
-    assert _memory_image(m_lossy) == _memory_image(m_clean)
+    assert memory_image(m_lossy.root) == memory_image(m_clean.root)
     assert mk_lossy >= mk_clean  # faults only ever add constraint
 
 
@@ -160,7 +149,7 @@ def test_md5_values_survive_loss():
     _, m_lossy, v_lossy = cw.run_cluster(cw.md5_tree_main(3), NODES,
                                          topology=TOPOLOGY, loss=0.05)
     assert v_lossy == v_clean
-    assert _memory_image(m_lossy) == _memory_image(m_clean)
+    assert memory_image(m_lossy.root) == memory_image(m_clean.root)
     assert m_lossy.transport.conservation_ok()
 
 

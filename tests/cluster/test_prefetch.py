@@ -7,9 +7,8 @@ per-link byte-conservation invariant must hold, and compressed payload
 bytes must never exceed raw payload bytes on any link.
 """
 
-import hashlib
-
 import pytest
+from memimage import memory_image
 
 from repro.bench import cluster_workloads as cw
 from repro.cluster import NetworkStats
@@ -21,16 +20,6 @@ DEPTHS = (0, 1, 4, 16)
 NODES = 4
 
 
-def _memory_image(space):
-    """Digest of a space's full memory image (vpn-ordered frame bytes)."""
-    digest = hashlib.sha256()
-    aspace = space.addrspace
-    for vpn in aspace.mapped_vpns():
-        digest.update(vpn.to_bytes(8, "little"))
-        digest.update(aspace.frame(vpn).data)
-    return digest.hexdigest()
-
-
 def _run_oracle(entry_builder, **machine_kwargs):
     """Run a cluster program, returning (value, root memory image,
     machine stats snapshot) with the machine still open."""
@@ -38,7 +27,7 @@ def _run_oracle(entry_builder, **machine_kwargs):
     with machine:
         result = machine.run(lambda g: entry_builder(g, NODES))
         assert result.trap.name in ("EXIT", "RET"), result.trap_info
-        return result.r0, _memory_image(machine.root), machine
+        return result.r0, memory_image(machine.root), machine
 
 
 # -- stop-and-wait vs pipelined oracle -------------------------------------

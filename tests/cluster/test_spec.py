@@ -11,26 +11,16 @@ makespans, and full memory images), and a signature guard fails the
 moment any entry point re-grows its own diverging knob parameter list.
 """
 
-import hashlib
 import inspect
 
 import pytest
+from memimage import memory_image
 
 from repro import Cluster, ClusterSpec, Machine, sweep_nodes
 from repro.bench import cluster_workloads as cw
 from repro.cluster.serving import serve_trace
 
 NODES = 4
-
-
-def _memory_image(machine):
-    """Digest of the root's full memory image (vpn-ordered frame bytes)."""
-    digest = hashlib.sha256()
-    aspace = machine.root.addrspace
-    for vpn in aspace.mapped_vpns():
-        digest.update(vpn.to_bytes(8, "little"))
-        digest.update(aspace.frame(vpn).data)
-    return digest.hexdigest()
 
 
 # -- round trip & value semantics -------------------------------------------
@@ -115,7 +105,7 @@ def test_legacy_kwargs_bit_identical_to_spec_md5():
     spec_mk, spec_m, spec_v = cw.run_cluster(
         cw.md5_tree_main(3), NODES, spec=ClusterSpec(**knobs))
     assert (legacy_mk, legacy_v) == (spec_mk, spec_v)
-    assert _memory_image(legacy_m) == _memory_image(spec_m)
+    assert memory_image(legacy_m.root) == memory_image(spec_m.root)
 
 
 def test_legacy_kwargs_bit_identical_to_spec_matmult():
@@ -125,7 +115,7 @@ def test_legacy_kwargs_bit_identical_to_spec_matmult():
     spec_mk, spec_m, spec_v = cw.run_cluster(
         cw.matmult_tree_main(64), NODES, spec=ClusterSpec(**knobs))
     assert (legacy_mk, legacy_v) == (spec_mk, spec_v)
-    assert _memory_image(legacy_m) == _memory_image(spec_m)
+    assert memory_image(legacy_m.root) == memory_image(spec_m.root)
 
 
 def test_cluster_legacy_matches_spec():

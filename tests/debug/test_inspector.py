@@ -5,8 +5,7 @@ The load-bearing claims:
 * ``goto N`` recovers the machine state at cycle N **bit-identically**:
   deterministic across invocations, identical whether the original run
   was serial or sharded (the replay is always serial, so every sharded
-  ``goto`` doubles as an oracle of the shard path), and identical under
-  either schedule engine.
+  ``goto`` doubles as an oracle of the shard path).
 * Checkpoint diffs match ground truth computed two independent ways: a
   pure-Python bytewise compare of the frozen images, and the write list
   of a seeded randomized workload.
@@ -17,8 +16,10 @@ import os
 import random
 
 import pytest
+from sched_oracle import schedule_list
 
 from repro import Machine
+from repro.bench import cluster_workloads as cw
 from repro.common.errors import DebugApiError
 from repro.debug import Inspector
 from repro.debug import render
@@ -26,7 +27,7 @@ from repro.debug.model import ADDED, CHANGED, RETAGGED
 from repro.debug.scenarios import (INJECT_AT_EPOCH, ft_main, fault_tolerance,
                                    retx_main, retx_trap)
 from repro.runtime.checkpoint import FREEZER_SLOT, Checkpointer
-from repro.timing.schedule import ENGINES, schedule
+from repro.timing.schedule import schedule
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,14 @@ def retx():
     insp = Inspector.from_recipe(retx_trap)
     yield insp
     insp.machine.close()
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    """A lossy two-tier cluster run: link transfers, retransmits included."""
+    _, machine, _ = cw.run_cluster(cw.matmult_tree_main(32), 4,
+                                   topology="two_tier:2", loss=0.05)
+    return Inspector(machine)
 
 
 # -- whole-run queries ------------------------------------------------------
@@ -172,16 +181,6 @@ def test_goto_without_recipe_is_an_error(ft):
         bare.goto(0)
 
 
-def test_goto_identical_across_engines(ft, monkeypatch):
-    (crash,) = ft.traps()
-    baseline = ft.goto(crash.cycle)
-    monkeypatch.setenv("REPRO_SCHED_ENGINE", "list")
-    other = Inspector(ft.machine, result=ft.result, recipe=fault_tolerance)
-    result = other.goto(crash.cycle)
-    assert result.segments == baseline.segments
-    assert result.image == baseline.image
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"),
                     reason="sharding requires os.fork")
 def test_goto_from_sharded_original(ft):
@@ -207,16 +206,21 @@ def test_goto_from_sharded_original(ft):
         insp.machine.close()
 
 
-# -- timeline vs the schedule engines ---------------------------------------
+# -- timeline vs the list-scheduler oracle ----------------------------------
 
 
-def test_timeline_matches_both_schedule_engines(ft):
-    timeline = ft.timeline
-    for engine in ENGINES:
-        sched = schedule(ft.trace, ncpus=ft.ncpus, engine=engine)
-        assert timeline.makespan == sched.makespan
-        assert timeline.start == sched.start
-        assert timeline.finish == sched.finish
+@pytest.mark.parametrize("scenario", ["ft", "retx", "cluster"])
+def test_timeline_matches_oracle(scenario, request):
+    insp = request.getfixturevalue(scenario)
+    timeline = insp.timeline
+    oracle, intervals = schedule_list(insp.trace, ncpus=insp.ncpus)
+    if scenario == "cluster":
+        assert any(kind == "retx" for *_, kind in intervals)
+    assert timeline.makespan == oracle.makespan
+    assert timeline.start == oracle.start
+    assert timeline.finish == oracle.finish
+    assert [(t.src, t.dst, t.link, t.start, t.end, t.arrival, t.cls, t.kind)
+            for t in timeline.transfers] == intervals
 
 
 def test_timeline_link_busy_matches_schedule(retx):

@@ -1,21 +1,25 @@
 """Bit-identity of the event-driven scheduler core vs the list oracle.
 
-``schedule(engine="event")`` (the default) and ``schedule(engine="list")``
-(the original list scheduler, kept verbatim) implement the identical
-policy; every field of their ScheduleResults must match exactly on every
-trace.  These tests drive both engines over real workload traces (the
-cluster workloads across fabrics, ship modes and lossy links) and over
-synthetic traces that exercise link contention, stall attribution and
-the error paths.
+``schedule`` (the event core) and ``sched_oracle.schedule_list`` (the
+original list scheduler, kept in the tests) implement the identical
+policy; every field of their ScheduleResults — including the link
+grants, in order — must match exactly on every trace, and the
+per-transfer intervals :class:`~repro.timing.timeline.Timeline` builds
+from the core's grants must equal the ones the oracle records.  These
+tests drive both over real workload traces (the cluster workloads
+across fabrics, ship modes and lossy links) and over synthetic traces
+that exercise link contention, stall attribution and the error paths.
 """
 
 import random
 
 import pytest
+from sched_oracle import schedule_list
 
 from repro.bench import cluster_workloads as cw
 from repro.timing import Trace
-from repro.timing.schedule import ENGINES, schedule
+from repro.timing.schedule import schedule
+from repro.timing.timeline import Timeline
 
 
 def result_fields(result):
@@ -29,13 +33,21 @@ def result_fields(result):
         "link_busy": dict(result.link_busy),
         "class_busy": dict(result.class_busy),
         "stall_cycles": dict(result.stall_cycles),
+        "grants": list(result.grants),
     }
 
 
-def assert_engines_agree(trace, **kwargs):
-    event = result_fields(schedule(trace, engine="event", **kwargs))
-    oracle = result_fields(schedule(trace, engine="list", **kwargs))
-    assert event == oracle
+def interval_fields(timeline):
+    """A Timeline's transfers as the oracle's interval tuples."""
+    return [(t.src, t.dst, t.link, t.start, t.end, t.arrival, t.cls, t.kind)
+            for t in timeline.transfers]
+
+
+def assert_matches_oracle(trace, **kwargs):
+    event = result_fields(schedule(trace, **kwargs))
+    oracle, intervals = schedule_list(trace, **kwargs)
+    assert event == result_fields(oracle)
+    assert interval_fields(Timeline(trace, **kwargs)) == intervals
     return event
 
 
@@ -55,7 +67,7 @@ SHIP_MODES = ["delta", "full", "demand"]
 def test_workload_traces_identical_across_fabrics(workload, topology):
     builder = dict(WORKLOADS)[workload]
     _, machine, _ = cw.run_cluster(builder, 4, topology=topology)
-    fields = assert_engines_agree(
+    fields = assert_matches_oracle(
         machine.trace, cpus_per_node={n: 1 for n in range(4)})
     assert fields["makespan"] > 0
 
@@ -64,16 +76,16 @@ def test_workload_traces_identical_across_fabrics(workload, topology):
 def test_workload_traces_identical_across_ship_modes(ship_mode):
     _, machine, _ = cw.run_cluster(cw.matmult_tree_main(32), 4,
                                    topology="fat_tree:2", ship_mode=ship_mode)
-    assert_engines_agree(machine.trace,
+    assert_matches_oracle(machine.trace,
                          cpus_per_node={n: 1 for n in range(4)})
 
 
 def test_workload_trace_identical_with_loss():
-    # Retransmissions add extra link transfers; both engines must charge
-    # them to the same links, classes and stall kinds.
+    # Retransmissions add extra link transfers; the core and the oracle
+    # must charge them to the same links, classes and stall kinds.
     _, machine, _ = cw.run_cluster(cw.matmult_tree_main(32), 4,
                                    topology="two_tier:2", loss=0.05)
-    fields = assert_engines_agree(
+    fields = assert_matches_oracle(
         machine.trace, cpus_per_node={n: 1 for n in range(4)})
     assert fields["link_busy"]
 
@@ -81,7 +93,7 @@ def test_workload_trace_identical_with_loss():
 @pytest.mark.parametrize("ncpus", [1, 2, 10**9])
 def test_workload_trace_identical_across_cpu_counts(ncpus):
     _, machine, _ = cw.run_cluster(cw.md5_tree_main(3), 4)
-    assert_engines_agree(machine.trace, ncpus=ncpus)
+    assert_matches_oracle(machine.trace, ncpus=ncpus)
 
 
 # -- synthetic traces -----------------------------------------------------
@@ -119,26 +131,27 @@ def test_random_traces_identical(seed):
     rng = random.Random(seed)
     tr = random_trace(rng)
     for ncpus in (1, 2, 10**9):
-        assert_engines_agree(tr, ncpus=ncpus)
-    assert_engines_agree(tr, cpus_per_node={0: 1, 1: 2, 2: 1})
+        assert_matches_oracle(tr, ncpus=ncpus)
+    assert_matches_oracle(tr, cpus_per_node={0: 1, 1: 2, 2: 1})
 
 
 def test_empty_trace_identical():
-    assert_engines_agree(Trace())
+    assert_matches_oracle(Trace())
 
 
 def test_plan_cache_reuse_stays_identical():
     # Replaying the same trace repeatedly (the sweep/CI pattern) reuses
-    # the event engine's compiled plan; results must not drift.
+    # the event core's compiled plan; results must not drift.
     tr = random_trace(random.Random(99))
-    first = result_fields(schedule(tr, ncpus=2, engine="event"))
+    first = result_fields(schedule(tr, ncpus=2))
     for _ in range(3):
-        assert result_fields(schedule(tr, ncpus=2, engine="event")) == first
-    assert result_fields(schedule(tr, ncpus=2, engine="list")) == first
+        assert result_fields(schedule(tr, ncpus=2)) == first
+    assert result_fields(schedule_list(tr, ncpus=2)[0]) == first
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_cycle_detection_identical(engine):
+@pytest.mark.parametrize("scheduler", [schedule, schedule_list],
+                         ids=["event", "list"])
+def test_cycle_detection_identical(scheduler):
     tr = Trace()
     tr.begin("a")
     tr.charge("a", 5)
@@ -147,20 +160,4 @@ def test_cycle_detection_identical(engine):
     tr.finish()
     tr.edge(s1, s0)  # back edge: s1 -> s0 while s0 -> s1 already exists
     with pytest.raises(ValueError, match="cycle or dangling"):
-        schedule(tr, engine=engine)
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown schedule engine"):
-        schedule(Trace(), engine="quantum")
-
-
-def test_env_override_selects_engine(monkeypatch):
-    # REPRO_SCHED_ENGINE flips the default for a whole process (CI's
-    # ablation uses it to run the oracle side); either way the numbers
-    # are the same.
-    tr = random_trace(random.Random(3))
-    baseline = result_fields(schedule(tr, ncpus=2))
-    for engine in ENGINES:
-        monkeypatch.setenv("REPRO_SCHED_ENGINE", engine)
-        assert result_fields(schedule(tr, ncpus=2)) == baseline
+        scheduler(tr)
