@@ -52,7 +52,7 @@ import weakref
 from enum import Enum
 
 from repro.cluster import realnet
-from repro.cluster.compress import SCHEME_RAW, encode_page
+from repro.cluster.compress import SCHEME_RAW, decode_page, encode_page
 from repro.cluster.network import NetworkStats
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.transport import MsgType
@@ -468,10 +468,9 @@ class RealShardCoordinator(ShardCoordinator):
 def _decode_page(scheme, payload):
     """Wire page -> exactly PAGE_SIZE bytes (anything else is a frame
     corruption, not a valid page)."""
-    from repro.cluster.compress import decode_page
     try:
         data = decode_page(scheme, bytes(payload))
-    except Exception as exc:
+    except ValueError as exc:
         raise WireError(f"page payload failed to decode: {exc}") from exc
     if len(data) != PAGE_SIZE:
         raise WireError(f"decoded page is {len(data)} bytes, "

@@ -29,13 +29,20 @@ Two schemes, chosen per frame:
     therefore *never* a pessimization in wire bytes — the conservation
     invariant ``compressed <= raw`` holds per page, per link, always.
 
-The codec is a real round-tripping implementation, not an estimate:
-:func:`encode_page` / :func:`decode_page` are property-tested on
-random, zero, and sparse frames, and the transport charges wire bytes
-from the actual encoded length (cached per frame content tag).
+The codec is a real round-tripping implementation, not an estimate.
+:func:`encode_page` and :func:`wire_size` start from the same zero-run
+boundaries, found with numpy over the whole frame (no per-byte or
+per-token Python loop).  ``encode_page`` builds the payload from them;
+``wire_size``, which the transport charges wire bytes from (cached per
+frame content tag), computes the payload's exact length from them
+without building it.  The tests check both for equality, byte for byte
+and length for length, against the original per-token regex encoder
+kept as the oracle in ``tests/cluster/codec_oracle.py``;
+:func:`decode_page` is property-tested as the inverse on random, zero,
+sparse and small-integer frames.
 """
 
-import re
+import numpy as np
 
 from repro.mem.page import PAGE_SIZE
 
@@ -49,28 +56,62 @@ SCHEME_RAW = "raw"
 #: control byte); below 3 it never can.
 MIN_ZERO_RUN = 3
 
-#: Longest run/literal one control byte can describe.
-_MAX_LIT = 0x80        # C in 0x00..0x7F -> 1..128 literal bytes
-_RUN_SPAN = 0x80       # C in 0x80..0xFF -> 1..128 zero bytes
+#: Longest literal or zero run one control byte describes: C in
+#: 0x00..0x7F is 1..128 literal bytes, C in 0x80..0xFF 1..128 zeros.
+_SPAN = 0x80
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
-_ZERO_RUN_RE = re.compile(rb"\x00{%d,}" % MIN_ZERO_RUN)
 
 
-def _emit_literal(out, chunk):
-    """Append literal tokens covering ``chunk`` (may exceed 128 bytes)."""
-    for start in range(0, len(chunk), _MAX_LIT):
-        piece = chunk[start:start + _MAX_LIT]
-        out.append(bytes((len(piece) - 1,)))
-        out.append(bytes(piece))
+def _segments(data):
+    """Lay one frame out as the RLE stream's segments.
 
-
-def _emit_zero_run(out, length):
-    """Append zero-run tokens covering ``length`` zero bytes."""
-    while length > 0:
-        take = min(length, _RUN_SPAN)
-        out.append(bytes((0x80 + take - 1,)))
-        length -= take
+    Returns ``(page, in_run, lengths, size)``: the frame as ``uint8``;
+    the mask of its bytes inside run tokens, i.e. inside a maximal zero
+    run of at least :data:`MIN_ZERO_RUN` bytes; the lengths of the
+    alternating literal and run segments, literal first (the first and
+    last literal may be empty); and the wire size.  The size is 0 for an
+    all-zero frame and capped at ``PAGE_SIZE`` (raw); otherwise it is
+    the RLE payload length: every literal byte plus one control byte per
+    started 128-byte chunk of every segment.  ``lengths`` is ``None``
+    when the frame ships zero or raw.
+    """
+    # bytes() accepts every buffer the codec ever took (including
+    # non-contiguous views); for a ``bytes`` frame it is not a copy.
+    page = np.frombuffer(bytes(data), dtype=np.uint8)
+    if page.size != PAGE_SIZE:
+        raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
+    zero = page == 0
+    # A byte is in a run exactly when some window of MIN_ZERO_RUN zeros
+    # covers it: find the windows, then mark every byte they cover.
+    span = PAGE_SIZE - MIN_ZERO_RUN + 1
+    windows = zero[:span] & zero[1:span + 1]
+    for shift in range(2, MIN_ZERO_RUN):
+        windows &= zero[shift:span + shift]
+    # One False on either side, so diffing yields every run edge.
+    padded = np.zeros(PAGE_SIZE + 2, dtype=bool)
+    in_run = padded[1:-1]
+    in_run[:span] = windows
+    for shift in range(1, MIN_ZERO_RUN):
+        in_run[shift:span + shift] |= windows
+    literal = PAGE_SIZE - int(np.count_nonzero(in_run))
+    if literal == 0:
+        return page, in_run, None, 0
+    # Literal bytes plus the control bytes they alone need already
+    # reach raw: no run layout can win.
+    if -(-literal // _SPAN) >= PAGE_SIZE - literal:
+        return page, in_run, None, PAGE_SIZE
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    bounds = np.concatenate(([0], edges, [PAGE_SIZE]))
+    lengths = bounds[1:] - bounds[:-1]
+    # One control byte per non-empty segment, plus one per further
+    # 128-byte chunk of a long one.
+    size = literal + int(np.count_nonzero(lengths))
+    if lengths.max() > _SPAN:
+        size += int(((lengths[lengths > _SPAN] - 1) // _SPAN).sum())
+    if size >= PAGE_SIZE:
+        return page, in_run, None, PAGE_SIZE
+    return page, in_run, lengths, size
 
 
 def encode_page(data):
@@ -80,24 +121,25 @@ def encode_page(data):
     nothing, RLE only when it actually beats raw — so
     ``len(payload) <= PAGE_SIZE`` unconditionally.
     """
-    data = bytes(data)
-    if len(data) != PAGE_SIZE:
-        raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
-    if data == _ZERO_PAGE:
+    page, in_run, lengths, size = _segments(data)
+    if size == 0:
         return SCHEME_ZERO, b""
-    out = []
-    pos = 0
-    for match in _ZERO_RUN_RE.finditer(data):
-        if match.start() > pos:
-            _emit_literal(out, data[pos:match.start()])
-        _emit_zero_run(out, match.end() - match.start())
-        pos = match.end()
-    if pos < PAGE_SIZE:
-        _emit_literal(out, data[pos:])
-    payload = b"".join(out)
-    if len(payload) >= PAGE_SIZE:
-        return SCHEME_RAW, data
-    return SCHEME_RLE, payload
+    if lengths is None:
+        return SCHEME_RAW, page.tobytes()
+    # One control byte per 128-byte chunk of every segment, inserted
+    # into the literal bytes just before the chunk it describes.
+    tokens = (lengths + _SPAN - 1) // _SPAN
+    segment = np.repeat(np.arange(lengths.size), tokens)
+    chunk = np.arange(segment.size) - (np.cumsum(tokens) - tokens)[segment]
+    is_run = segment & 1
+    control = (np.minimum(lengths[segment] - _SPAN * chunk, _SPAN) - 1
+               + 0x80 * is_run)
+    literal_lengths = lengths.copy()
+    literal_lengths[1::2] = 0
+    literal_before = np.cumsum(literal_lengths) - literal_lengths
+    at = literal_before[segment] + _SPAN * chunk * (1 - is_run)
+    payload = np.insert(page[~in_run], at, control.astype(np.uint8))
+    return SCHEME_RLE, payload.tobytes()
 
 
 def decode_page(scheme, payload):
@@ -135,7 +177,8 @@ def decode_page(scheme, payload):
 def wire_size(data):
     """Wire payload bytes of one frame under compression.
 
-    ``wire_size(d) == len(encode_page(d)[1])``, and is bounded by
+    ``wire_size(d) == len(encode_page(d)[1])`` — computed from the same
+    zero-run boundaries without building the payload — and bounded by
     ``PAGE_SIZE`` because raw is always a candidate scheme.
     """
-    return len(encode_page(data)[1])
+    return _segments(data)[3]

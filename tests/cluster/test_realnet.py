@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import realnet
-from repro.cluster.compress import SCHEME_RAW, decode_page, encode_page
+from repro.cluster.backend import _decode_page
+from repro.cluster.compress import (
+    SCHEME_RAW, SCHEME_RLE, decode_page, encode_page)
 from repro.cluster.realnet import Channel, MAGIC, encode_frame
 from repro.cluster.transport import MsgType
 from repro.common.errors import BackendError, WireError
@@ -188,6 +190,17 @@ def test_page_batch_unknown_scheme_is_typed_error():
     payload[4 + 16] = 77        # the scheme byte of the first page
     with pytest.raises(WireError, match="scheme code"):
         realnet.decode_payload(MsgType.PAGE_BATCH, bytes(payload))
+
+
+@pytest.mark.parametrize("payload", [
+    bytes([5, 1, 2]),                     # literal token cut short
+    bytes([0xFF]) * 31 + bytes([0xFE]),   # zero runs summing to 4095
+], ids=["truncated-literal", "decodes-to-4095"])
+def test_corrupt_rle_page_is_typed_error(payload):
+    """A well-framed PAGE_BATCH page whose RLE stream is corrupt fails
+    the worker's install as a typed WireError."""
+    with pytest.raises(WireError, match="page payload failed to decode"):
+        _decode_page(SCHEME_RLE, payload)
 
 
 def test_oversized_page_refused_on_encode():
