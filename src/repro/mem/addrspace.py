@@ -33,6 +33,9 @@ PERM_R = 1
 PERM_W = 2
 PERM_RW = PERM_R | PERM_W
 
+#: The bytes ``read`` joins in for an unmapped (demand-zero) page.
+_ZERO_VIEW = memoryview(bytes(PAGE_SIZE))
+
 
 class MemCounters:
     """Cumulative accounting of memory events, for cost charging and tests."""
@@ -55,6 +58,14 @@ def _check_range(addr, size):
         raise ValueError("negative size")
     if addr < 0 or addr + size > VA_SIZE:
         raise PageFaultError(addr, f"range {addr:#x}+{size:#x} outside address space")
+
+
+def keys_in(table, vpn0, vpn1):
+    """Sorted keys of the vpn-keyed dict ``table`` inside ``[vpn0, vpn1)``,
+    walking whichever of the range and the keys is smaller."""
+    if vpn1 - vpn0 <= len(table):
+        return [v for v in range(vpn0, vpn1) if v in table]
+    return sorted([v for v in table if vpn0 <= v < vpn1])
 
 
 def _check_page_aligned(addr, size):
@@ -97,10 +108,10 @@ class AddressSpace:
     def mapped_vpns_in(self, vpn0, vpn1):
         """Sorted mapped vpns in ``[vpn0, vpn1)``.
 
-        Address-space regions are huge (hundreds of MB) but sparse, so all
-        range operations iterate mapped pages, never the full page range.
+        Regions are huge (hundreds of MB) but sparse and accesses small,
+        so this costs O(min(range, mapped)) (:func:`keys_in`).
         """
-        return sorted(v for v in self._pages if vpn0 <= v < vpn1)
+        return keys_in(self._pages, vpn0, vpn1)
 
     def frame(self, vpn):
         """The :class:`Page` mapped at ``vpn``, or None."""
@@ -150,27 +161,42 @@ class AddressSpace:
         return sorted(dirty)
 
     def _mark_dirty(self, vpn):
-        if not self._track_dirty:
+        self._mark_dirty_all((vpn,))
+
+    def _mark_dirty_all(self, vpns):
+        """Record mutations of ``vpns`` in the ledger, one clock tick each,
+        in the given order."""
+        if not self._track_dirty or not vpns:
             return
-        self._clock += 1
-        self._dirty[vpn] = self._clock
-        self._events.append((self._clock, vpn))
-        if len(self._events) > 64 and len(self._events) > 2 * len(self._dirty):
+        clock = self._clock
+        dirty = self._dirty
+        events = self._events
+        for vpn in vpns:
+            clock += 1
+            dirty[vpn] = clock
+            events.append((clock, vpn))
+        self._clock = clock
+        if len(events) > 64 and len(events) > 2 * len(dirty):
             # Compact superseded events; keeps the log within 2x the
             # number of distinct dirty pages.
-            self._events = sorted(
-                (clock, vpn) for vpn, clock in self._dirty.items()
-            )
+            self._events = sorted(zip(dirty.values(), dirty.keys()))
 
     # -- page-level operations --------------------------------------------
 
-    def _map(self, vpn, page, perm=None):
+    def _share(self, vpn, page):
+        """Map ``page`` at ``vpn`` copy-on-write, dropping the old mapping.
+        The caller records the ledger mark."""
         old = self._pages.get(vpn)
+        self._pages[vpn] = page.incref()
         if old is not None:
             old.decref()
-        self._pages[vpn] = page
-        if perm is not None:
-            self._perms[vpn] = perm
+        self.counters.pages_shared += 1
+
+    def share_page(self, vpn, page):
+        """Map another space's frame ``page`` at ``vpn`` copy-on-write:
+        one remap and one ledger mark, whatever the space's size (Merge's
+        whole-page adoption).  Permissions are left alone."""
+        self._share(vpn, page)
         self._mark_dirty(vpn)
 
     def _ensure_writable(self, vpn):
@@ -200,21 +226,27 @@ class AddressSpace:
     # -- byte-level access (used by the guest API) ------------------------
 
     def read(self, addr, size, check_perm=False):
-        """Read ``size`` bytes at ``addr``.  Unmapped pages read as zeros."""
+        """Read ``size`` bytes at ``addr``.  Unmapped pages read as zeros.
+
+        The result is one join of page views: its bytes are copied once."""
         _check_range(addr, size)
-        out = bytearray(size)
-        pos = 0
-        while pos < size:
-            vpn = (addr + pos) >> PAGE_SHIFT
-            off = (addr + pos) & (PAGE_SIZE - 1)
-            n = min(PAGE_SIZE - off, size - pos)
-            if check_perm and not (self.perm(vpn) & PERM_R):
-                raise PermissionFault(addr + pos, "read")
-            page = self._pages.get(vpn)
-            if page is not None:
-                out[pos : pos + n] = page.data[off : off + n]
+        pages = self._pages
+        perms = self._perms
+        parts = []
+        pos = addr
+        end = addr + size
+        while pos < end:
+            vpn = pos >> PAGE_SHIFT
+            off = pos & (PAGE_SIZE - 1)
+            n = min(PAGE_SIZE - off, end - pos)
+            if check_perm and not (perms.get(vpn, PERM_RW) & PERM_R):
+                raise PermissionFault(pos, "read")
+            page = pages.get(vpn)
+            data = _ZERO_VIEW if page is None else page.data
+            parts.append(data if n == PAGE_SIZE
+                         else memoryview(data)[off : off + n])
             pos += n
-        return bytes(out)
+        return b"".join(parts)
 
     def write(self, addr, data, check_perm=False):
         """Write ``data`` at ``addr``.  Returns the number of page events
@@ -275,31 +307,6 @@ class AddressSpace:
         return np.frombuffer(self.read(addr, size, check_perm=check_perm),
                              dtype=np.uint8)
 
-    def privatize_range(self, addr, size):
-        """Ensure every page overlapping ``[addr, addr+size)`` is mapped and
-        privately owned (pre-faulting for writable array views).
-
-        Returns ``(cow_breaks, zero_fills)`` for cost charging.
-        """
-        _check_range(addr, size)
-        vpn0 = addr >> PAGE_SHIFT
-        vpn1 = (addr + size - 1) >> PAGE_SHIFT if size else vpn0 - 1
-        cow = zero = 0
-        for vpn in range(vpn0, vpn1 + 1):
-            _, event = self._ensure_writable(vpn)
-            if event == "cow":
-                cow += 1
-            elif event == "zero":
-                zero += 1
-        return cow, zero
-
-    def page_bytes(self, vpn):
-        """Bytes of the page at ``vpn`` (zeros if unmapped). No copy if mapped."""
-        page = self._pages.get(vpn)
-        if page is None:
-            return None
-        return page.data
-
     # -- range operations (kernel Copy / Zero / Perm, page-aligned) -------
 
     def copy_range_from(self, src, src_addr, dst_addr, size, perm=None):
@@ -323,32 +330,31 @@ class AddressSpace:
         candidates.update(
             v - shift for v in self.mapped_vpns_in(dst_vpn0, dst_vpn0 + npages)
         )
-        touched = 0
+        # Lookups stay live: a self-copy (``src is self``) reads the
+        # mappings its own earlier iterations wrote.
+        spages = src._pages
+        pages = self._pages
+        perms = self._perms
+        changed = []
         for svpn in sorted(candidates):
-            i = svpn - src_vpn0
-            spage = src._pages.get(src_vpn0 + i)
-            dvpn = dst_vpn0 + i
-            dpage = self._pages.get(dvpn)
+            dvpn = svpn + shift
+            spage = spages.get(svpn)
+            dpage = pages.get(dvpn)
             if spage is None:
                 if dpage is not None:
                     dpage.decref()
-                    del self._pages[dvpn]
-                    self._mark_dirty(dvpn)
-                    touched += 1
-                self._perms.pop(dvpn, None)
-                if perm is not None:
-                    self._perms[dvpn] = perm
-                continue
-            if spage is dpage:
-                # Already sharing the identical frame: content is in sync,
-                # but a requested permission change must still apply.
-                if perm is not None:
-                    self._perms[dvpn] = perm
-                continue
-            self._map(dvpn, spage.incref(), perm)
-            self.counters.pages_shared += 1
-            touched += 1
-        return touched
+                    del pages[dvpn]
+                    changed.append(dvpn)
+                perms.pop(dvpn, None)
+            elif spage is not dpage:
+                self._share(dvpn, spage)
+                changed.append(dvpn)
+            # An already-shared frame is in sync, but a requested
+            # permission change must still apply.
+            if perm is not None:
+                perms[dvpn] = perm
+        self._mark_dirty_all(changed)
+        return len(changed)
 
     def unmap_page(self, vpn):
         """Drop the frame at ``vpn`` (demand-zero on next access) without
@@ -373,15 +379,14 @@ class AddressSpace:
         _check_page_aligned(addr, size)
         vpn0 = addr >> PAGE_SHIFT
         npages = size >> PAGE_SHIFT
-        removed = 0
-        for vpn in self.mapped_vpns_in(vpn0, vpn0 + npages):
+        removed = self.mapped_vpns_in(vpn0, vpn0 + npages)
+        for vpn in removed:
             self._pages.pop(vpn).decref()
-            self._mark_dirty(vpn)
-            removed += 1
-        for vpn in [v for v in self._perms if vpn0 <= v < vpn0 + npages]:
+        self._mark_dirty_all(removed)
+        for vpn in keys_in(self._perms, vpn0, vpn0 + npages):
             del self._perms[vpn]
-        self.counters.pages_zeroed += removed
-        return removed
+        self.counters.pages_zeroed += len(removed)
+        return len(removed)
 
     def set_perm(self, addr, size, perm):
         """Set page permissions on a page-aligned range (Perm option).

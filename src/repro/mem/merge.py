@@ -106,16 +106,16 @@ MODES = ("strict", "lenient", "override")
 BATCH_PAGES = 4096
 
 
-def _adopt(parent, child, child_frame, vpn, stats):
+def _adopt(parent, child_frame, vpn, stats):
     """Adopt the child's whole page into the parent (parent unchanged
-    since the snapshot): a COW remap — or an unmap when the child
-    dropped the page — never a byte copy, and never a permission change."""
+    since the snapshot): one O(1) COW remap of the child's frame
+    (``AddressSpace.share_page``) — or an unmap when the child dropped
+    the page — never a byte copy, a page-table scan, or a permission
+    change."""
     if child_frame is None:
         parent.unmap_page(vpn)
     else:
-        parent.copy_range_from(
-            child, vpn << PAGE_SHIFT, vpn << PAGE_SHIFT, PAGE_SIZE
-        )
+        parent.share_page(vpn, child_frame)
     stats.pages_adopted += 1
     stats.written_vpns.append(vpn)
 
@@ -240,7 +240,7 @@ def _merge_tracked(parent, child, snapshot, candidates, mode, stats):
             stats.written_vpns.append(vpns[row])
 
     for vpn, child_frame in adopt:
-        _adopt(parent, child, child_frame, vpn, stats)
+        _adopt(parent, child_frame, vpn, stats)
 
 
 # -- legacy path (untracked spaces; ablation baseline) ---------------------
@@ -277,7 +277,7 @@ def _merge_legacy(parent, child, snapshot, vpn0, vpn1, mode, stats):
         # Fast path 2: parent still maps the snapshot frame -> parent
         # unchanged; adopt the child's whole frame copy-on-write.
         if parent_frame is snap_frame:
-            _adopt(parent, child, child_frame, vpn, stats)
+            _adopt(parent, child_frame, vpn, stats)
             continue
 
         parent_arr = _page_array(parent_frame)

@@ -16,6 +16,7 @@ page bytes — :meth:`baseline_tag` exists for introspection, tests, and
 delta tooling, not as a separate merge fast path.
 """
 
+from repro.mem.addrspace import keys_in
 from repro.mem.page import PAGE_SHIFT, PAGE_SIZE
 
 
@@ -71,18 +72,20 @@ class Snapshot:
             return None
         vpn0 = self.addr >> PAGE_SHIFT
         vpn1 = vpn0 + (self.size >> PAGE_SHIFT)
+        frames = self._frames
+        pages = space._pages
         repinned = 0
         for vpn in dirty:
             if not vpn0 <= vpn < vpn1:
                 continue
-            old = self._frames.pop(vpn, None)
+            old = frames.pop(vpn, None)
             if old is not None:
                 old.decref()
-            frame = space.frame(vpn)
+            frame = pages.get(vpn)
             if frame is not None:
-                self._frames[vpn] = frame.incref()
-                space.counters.pages_shared += 1
+                frames[vpn] = frame.incref()
                 repinned += 1
+        space.counters.pages_shared += repinned
         self._token = space.dirty_token()
         return repinned, len(dirty)
 
@@ -91,8 +94,9 @@ class Snapshot:
         return self._frames.get(vpn)
 
     def frame_vpns_in(self, vpn0, vpn1):
-        """Vpns of retained frames inside ``[vpn0, vpn1)``."""
-        return [v for v in self._frames if vpn0 <= v < vpn1]
+        """Sorted vpns of retained frames inside ``[vpn0, vpn1)``, walking
+        the smaller of the range and the frame set."""
+        return keys_in(self._frames, vpn0, vpn1)
 
     def baseline_tag(self, vpn):
         """The ``(serial, generation)`` content tag snapshotted at ``vpn``,
